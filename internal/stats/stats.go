@@ -1,7 +1,8 @@
 // Package stats provides the measurement plumbing of the evaluation
 // (Section 5): bucketed time series at the paper's 5-minute CloudWatch
 // resolution (Fig. 5), least-squares fits for the bytes-read-per-block
-// slopes (Fig. 6), and small summaries.
+// slopes (Fig. 6), small summaries, and the lock-free latency histogram
+// behind the serving path's quantiles.
 package stats
 
 import (

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -216,27 +218,84 @@ func TestGetRangeZeroLengthObject(t *testing.T) {
 	}
 }
 
-// TestGetRangeMatchesGet cross-checks GetRange(0, size) against Get for
-// a spread of object sizes, including sub-block and exactly-aligned.
+// TestGetRangeMatchesGet cross-checks the three read entry points —
+// Get, GetWriter and GetRange(0, -1) — for a spread of object sizes,
+// including sub-block, exactly-aligned and tiny tails whose final stripe
+// has padding-only data blocks, healthy and with one node dead: the
+// bytes and the ReadInfo must be identical. Healthy, BlocksRead is
+// pinned to the covering blocks — a short final stripe's padding-only
+// blocks are never read.
 func TestGetRangeMatchesGet(t *testing.T) {
 	const bl = 64
 	s := newTestStore(t, Config{BlockSize: bl})
 	defer s.Close()
 	k := s.Codec().K()
 	rng := rand.New(rand.NewSource(45))
-	for _, n := range []int{1, bl - 1, bl, bl + 1, bl * k, bl*k + 1, 3 * bl * k} {
+	// coveringBlocks is the data blocks holding bytes of an n-byte
+	// object: k per full stripe, and ⌈t/⌈t/k⌉⌉ for a t-byte tail.
+	coveringBlocks := func(n int) int64 {
+		blocks := int64(n / (bl * k) * k)
+		if t := n % (bl * k); t > 0 {
+			tbl := (t + k - 1) / k
+			blocks += int64((t + tbl - 1) / tbl)
+		}
+		return blocks
+	}
+	// One full stripe plus an 11-byte tail: with the default k = 10 the
+	// tail sits in 2-byte blocks, of which 6 hold bytes and 4 are
+	// padding, so a full read costs 16 blocks, not 20.
+	tinyTail := bl*k + 11
+	if coveringBlocks(tinyTail) != 16 {
+		t.Fatalf("covering blocks of the tiny-tail object = %d, want 16", coveringBlocks(tinyTail))
+	}
+	sizes := []int{1, bl - 1, bl, bl + 1, bl * k, bl*k + 1, tinyTail, 3 * bl * k}
+	want := make(map[string][]byte)
+	for _, n := range sizes {
 		name := fmt.Sprintf("obj-%d", n)
-		want := randBytes(rng, n)
-		if err := s.Put(name, want); err != nil {
+		want[name] = randBytes(rng, n)
+		if err := s.Put(name, want[name]); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if _, err := s.GetRange(name, 0, int64(n), &buf); err != nil {
-			t.Fatalf("GetRange(%q): %v", name, err)
+	}
+	check := func(degraded bool) {
+		for _, n := range sizes {
+			name := fmt.Sprintf("obj-%d", n)
+			got, info, err := s.Get(name)
+			if err != nil {
+				t.Fatalf("Get(%q): %v", name, err)
+			}
+			var wbuf, rbuf bytes.Buffer
+			winfo, err := s.GetWriter(name, &wbuf)
+			if err != nil {
+				t.Fatalf("GetWriter(%q): %v", name, err)
+			}
+			rinfo, err := s.GetRange(name, 0, -1, &rbuf)
+			if err != nil {
+				t.Fatalf("GetRange(%q, 0, -1): %v", name, err)
+			}
+			if !bytes.Equal(got, want[name]) || !bytes.Equal(wbuf.Bytes(), want[name]) || !bytes.Equal(rbuf.Bytes(), want[name]) {
+				t.Fatalf("%q (degraded=%v): payload mismatch", name, degraded)
+			}
+			if info != winfo || info != rinfo {
+				t.Fatalf("%q (degraded=%v): ReadInfo differs: Get %+v, GetWriter %+v, GetRange %+v", name, degraded, info, winfo, rinfo)
+			}
+			if !degraded && (info.BlocksRead != coveringBlocks(n) || info.Degraded) {
+				t.Fatalf("%q: healthy read cost %d blocks (degraded=%v), want the %d covering blocks",
+					name, info.BlocksRead, info.Degraded, coveringBlocks(n))
+			}
 		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("GetRange(%q): mismatch", name)
-		}
+	}
+	check(false)
+	// Kill the node holding the largest object's first data block, so
+	// at least that read rebuilds inline.
+	node, _, err := s.BlockLocation(fmt.Sprintf("obj-%d", 3*bl*k), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.KillNode(node)
+	check(true)
+	if _, info, _ := s.Get(fmt.Sprintf("obj-%d", 3*bl*k)); !info.Degraded || info.LightRepairs == 0 {
+		t.Fatalf("read through a dead node: %+v, want a degraded light repair", info)
 	}
 }
 
@@ -280,5 +339,182 @@ func TestGetRangeEmptyWindowNoBackendReads(t *testing.T) {
 	// One past the end stays an error, not an empty success.
 	if _, err := s.GetRange("obj", size+1, 0, &bytes.Buffer{}); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("GetRange(size+1, 0) = %v, want ErrBadRange", err)
+	}
+}
+
+// readHookBackend is a countingBackend that runs onRead before every
+// read — the probe the retry tests use to move a block under a read in
+// flight.
+type readHookBackend struct {
+	countingBackend
+	onRead func(node int, key string)
+}
+
+func (b *readHookBackend) Read(node int, key string) ([]byte, error) {
+	if b.onRead != nil {
+		b.onRead(node, key)
+	}
+	return b.countingBackend.Read(node, key)
+}
+
+// TestReadRetryPolicy pins the one stale-manifest retry loop behind
+// Get, GetWriter and GetRange. Each case leaves one stripe readable only
+// through data block 0 (every parity deleted), then takes block 0 away.
+//   - Genuine loss (block 0 deleted, manifest unchanged): ErrUnrecoverable
+//     after exactly one attempt's backend reads, for all three.
+//   - Stale snapshot (a repair-style relocation of block 0 commits during
+//     the first attempt): Get, and GetWriter failing before its first
+//     write, retry on the fresh manifest and return byte-exact.
+//   - GetWriter failing after bytes went out returns the error as is.
+func TestReadRetryPolicy(t *testing.T) {
+	const bl = 64
+	mb := NewMemBackend()
+	hb := &readHookBackend{countingBackend: countingBackend{Backend: mb}}
+	s := newTestStore(t, Config{Backend: hb, BlockSize: bl})
+	defer s.Close()
+	k, n := s.Codec().K(), s.Codec().NStored()
+	rng := rand.New(rand.NewSource(46))
+	put := func(name string, size int) []byte {
+		data := randBytes(rng, size)
+		if err := s.Put(name, data); err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	// breakStripe deletes every parity of stripe idx and returns where
+	// its data block 0 lives.
+	breakStripe := func(name string, idx int) (node int, key string) {
+		for pos := k; pos < n; pos++ {
+			nd, ky, err := s.BlockLocation(name, idx, pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mb.Delete(nd, ky); err != nil {
+				t.Fatal(err)
+			}
+		}
+		node, key, err := s.BlockLocation(name, idx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node, key
+	}
+	// moveOnRead arms the hook: the first read of key relocates the
+	// block to a new key, as a repair write-back would, so the read in
+	// flight finds its snapshot stale.
+	moveOnRead := func(name string, idx, node int, key string) {
+		v, _ := s.db.Get(objKey(name))
+		ref := stripeRef{name: name, gen: v.(*objectInfo).Gen, idx: idx}
+		var once sync.Once
+		hb.onRead = func(_ int, k string) {
+			if k != key {
+				return
+			}
+			once.Do(func() {
+				raw, err := mb.Read(node, key)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				moved := key + ".moved"
+				if err := mb.Write(node, moved, raw); err != nil {
+					t.Error(err)
+				}
+				if !s.relocateBlock(ref, 0, node, moved) {
+					t.Error("relocateBlock refused")
+				}
+				if err := mb.Delete(node, key); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	}
+
+	// Genuine loss: block 0 deleted, manifest unchanged.
+	{
+		put("lost", bl*k)
+		node, key := breakStripe("lost", 0)
+		if err := mb.Delete(node, key); err != nil {
+			t.Fatal(err)
+		}
+		reads := func(read func() error) int64 {
+			before := hb.reads.Load()
+			if err := read(); !errors.Is(err, ErrUnrecoverable) {
+				t.Fatalf("err = %v, want ErrUnrecoverable", err)
+			}
+			return hb.reads.Load() - before
+		}
+		attempt := func(off, length int64) int64 {
+			n := reads(func() error {
+				_, _, err := s.streamRangeVersion("lost", off, length, io.Discard)
+				return err
+			})
+			if n == 0 {
+				t.Fatal("one attempt read no blocks")
+			}
+			return n
+		}
+		full, window := attempt(0, -1), attempt(3, 10)
+		for _, c := range []struct {
+			name string
+			want int64
+			read func() error
+		}{
+			{"Get", full, func() error { _, _, err := s.Get("lost"); return err }},
+			{"GetWriter", full, func() error { _, err := s.GetWriter("lost", io.Discard); return err }},
+			{"GetRange(3, 10)", window, func() error { _, err := s.GetRange("lost", 3, 10, io.Discard); return err }},
+		} {
+			if got := reads(c.read); got != c.want {
+				t.Fatalf("%s: %d backend reads, want one attempt's %d", c.name, got, c.want)
+			}
+		}
+	}
+
+	// Stale snapshot: block 0 relocated during the first attempt.
+	{
+		for _, viaWriter := range []bool{false, true} {
+			name := fmt.Sprintf("moved-%v", viaWriter)
+			want := put(name, bl*k)
+			node, key := breakStripe(name, 0)
+			moveOnRead(name, 0, node, key)
+			var got []byte
+			var err error
+			if viaWriter {
+				var buf bytes.Buffer
+				_, err = s.GetWriter(name, &buf)
+				got = buf.Bytes()
+			} else {
+				got, _, err = s.Get(name)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: payload mismatch after retry", name)
+			}
+			if _, now, _ := s.BlockLocation(name, 0, 0); now != key+".moved" {
+				t.Fatalf("%s: block 0 at %q, want it relocated mid-read", name, now)
+			}
+		}
+	}
+
+	// Stale snapshot of stripe 1, found after stripe 0 went out.
+	{
+		want := put("late", 2*bl*k)
+		node, key := breakStripe("late", 1)
+		moveOnRead("late", 1, node, key)
+		var buf bytes.Buffer
+		info, err := s.GetWriter("late", &buf)
+		if !errors.Is(err, ErrUnrecoverable) {
+			t.Fatalf("err = %v, want ErrUnrecoverable", err)
+		}
+		if !bytes.Equal(buf.Bytes(), want[:bl*k]) || info.BytesWritten != int64(bl*k) {
+			t.Fatalf("wrote %d bytes (BytesWritten %d), want exactly stripe 0's %d", buf.Len(), info.BytesWritten, bl*k)
+		}
+		// The relocation did commit: a fresh read succeeds, so the
+		// failure above was the no-retry rule, not lost data.
+		if got, _, err := s.Get("late"); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Get after relocation: %v", err)
+		}
 	}
 }

@@ -1,10 +1,6 @@
 package store
 
-import (
-	"math/bits"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Hedged stripe reads: the tail-tolerance move from Dean & Barroso's
 // "The Tail at Scale", with erasure reconstruction as the backup
@@ -15,49 +11,6 @@ import (
 // plus parity — against the stragglers. Whichever completes the stripe
 // first wins; the loser's bytes are still accounted, never double-used.
 
-// blockLatHist is a log2-bucketed histogram of block-read latencies in
-// microseconds, lock-free for the hot path (same shape as the gateway's
-// verb histograms). Bucket i holds latencies in [2^(i-1), 2^i) µs.
-type blockLatHist struct {
-	buckets [40]atomic.Int64
-	count   atomic.Int64
-}
-
-func (h *blockLatHist) observe(d time.Duration) {
-	us := d.Microseconds()
-	if us < 0 {
-		us = 0
-	}
-	b := bits.Len64(uint64(us))
-	if b >= len(h.buckets) {
-		b = len(h.buckets) - 1
-	}
-	h.buckets[b].Add(1)
-	h.count.Add(1)
-}
-
-// quantile returns the upper edge of the bucket holding the q-quantile
-// observation — an overestimate by at most 2×, which is the right bias
-// for a hedge trigger (fire late rather than storm the backend).
-func (h *blockLatHist) quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var seen int64
-	for i := range h.buckets {
-		seen += h.buckets[i].Load()
-		if seen > rank {
-			return time.Duration(uint64(1)<<uint(i)) * time.Microsecond
-		}
-	}
-	return time.Duration(uint64(1)<<uint(len(h.buckets)-1)) * time.Microsecond
-}
-
 // hedgeDelay returns how long a stripe fetch waits on stragglers before
 // firing the reconstruction race, or 0 when hedging is disabled.
 func (s *Store) hedgeDelay() time.Duration {
@@ -65,7 +18,7 @@ func (s *Store) hedgeDelay() time.Duration {
 	if q <= 0 || q >= 1 {
 		return 0
 	}
-	d := s.readLat.quantile(q)
+	d := s.readLat.Quantile(q)
 	if d < s.cfg.HedgeMinDelay {
 		d = s.cfg.HedgeMinDelay
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/meta"
+	"repro/internal/stats"
 )
 
 // Config sizes a Store. Zero fields take defaults.
@@ -213,7 +214,7 @@ type Store struct {
 
 	// readLat is the block-read latency histogram feeding the hedge
 	// trigger's quantile.
-	readLat blockLatHist
+	readLat stats.LatencyHist
 
 	// cache is the hot-block read cache, nil unless Config.CacheBytes
 	// is set. Invalidation rides the same paths that make blocks stale:
@@ -395,7 +396,7 @@ func (s *Store) readBlockPayload(si *stripeInfo, pos int, acct *readAcct, lim *b
 	if err != nil {
 		return nil, err
 	}
-	s.readLat.observe(time.Since(start))
+	s.readLat.Observe(time.Since(start))
 	acct.blocks++
 	acct.bytes += int64(len(raw))
 	lim.take(int64(len(raw)))
